@@ -105,6 +105,12 @@ func (p *Pool) OverflowPages() int {
 // as needed. It returns the number of pages evicted. Inserting a chunk
 // whose FirstPage is already present panics: the caller is responsible for
 // Lookup-before-load.
+//
+// The pool owns a chunk once it is inserted: an evicted chunk goes back to
+// the free list through PutChunk, so the next decode reuses its Recs and
+// Arena capacity. Only unpinned chunks are evicted, and the pin contract
+// (no reference to a chunk's records survives its Unpin) is what makes
+// that safe.
 func (p *Pool) Insert(c *Chunk) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -125,8 +131,8 @@ func (p *Pool) Insert(c *Chunk) int {
 	return evicted
 }
 
-// evictOneLocked removes the oldest unpinned chunk. It reports whether an
-// eviction happened.
+// evictOneLocked removes the oldest unpinned chunk and hands it back to the
+// free list. It reports whether an eviction happened.
 func (p *Pool) evictOneLocked() bool {
 	for i, first := range p.fifo {
 		e, ok := p.chunks[first]
@@ -139,6 +145,7 @@ func (p *Pool) evictOneLocked() bool {
 		delete(p.chunks, first)
 		p.used -= e.chunk.NumPages
 		p.fifo = append(p.fifo[:i], p.fifo[i+1:]...)
+		PutChunk(e.chunk)
 		return true
 	}
 	return false

@@ -258,6 +258,57 @@ func TestChunkRecycle(t *testing.T) {
 	}
 }
 
+// TestPoolRecyclesEvictedChunks checks the chunk lifecycle: a chunk that
+// Insert evicts goes back through PutChunk (its Recs come back cleared,
+// length zero and every slot of the old length zeroed, so the free list
+// pins no adjacency), while a pinned chunk is never evicted and so never
+// recycled. The test keeps references it would not hold under the pin
+// contract, only to observe what PutChunk did to them.
+func TestPoolRecyclesEvictedChunks(t *testing.T) {
+	adj := []uint32{2, 3, 5}
+	withRecs := func(first uint32) *Chunk {
+		c := chunk(first, 1)
+		c.Recs = []storage.VertexRec{{ID: first, Adj: adj}, {ID: first + 1, Adj: adj}}
+		c.Arena = []uint32{7, 8}
+		return c
+	}
+	p := NewPool(2)
+	old, pinned := withRecs(0), withRecs(1)
+	p.Insert(old)
+	p.Insert(pinned)
+	p.Unpin(0) // old is evictable; pinned keeps its insert pin
+
+	if evicted := p.Insert(withRecs(2)); evicted != 1 {
+		t.Fatalf("evicted = %d, want 1", evicted)
+	}
+	if p.Contains(0) || !p.Contains(1) || !p.Contains(2) {
+		t.Fatalf("resident = %v, want pages 1 and 2", p.Resident())
+	}
+	if len(old.Recs) != 0 || len(old.Arena) != 0 {
+		t.Fatalf("evicted chunk not recycled: %d recs, %d arena values", len(old.Recs), len(old.Arena))
+	}
+	for i, r := range old.Recs[:2] {
+		if r.ID != 0 || r.Adj != nil {
+			t.Fatalf("recycled record %d retains data: %+v", i, r)
+		}
+	}
+	if len(pinned.Recs) != 2 || pinned.Recs[1].ID != 2 || len(pinned.Arena) != 2 {
+		t.Fatalf("pinned chunk was recycled: %+v", pinned)
+	}
+
+	// Everything pinned: the insert overflows and recycles nothing.
+	p.Insert(withRecs(3))
+	if len(pinned.Recs) != 2 || p.PinCount(1) != 1 {
+		t.Fatalf("pinned chunk touched under overflow: %+v, pins %d", pinned, p.PinCount(1))
+	}
+
+	// Take hands ownership back to the caller: no recycling.
+	p.Unpin(1)
+	if c := p.Take(1); c != pinned || len(c.Recs) != 2 {
+		t.Fatalf("Take returned %+v", c)
+	}
+}
+
 func TestPoolConcurrent(t *testing.T) {
 	p := NewPool(64)
 	var wg sync.WaitGroup

@@ -205,30 +205,33 @@ func (io *ioSched) readDone(g *extGroup, err error) {
 // In Parallel mode the CPU work runs as an external-class task; in Serial
 // mode it runs on the caller (the device's callback thread).
 func (io *ioSched) handleSeg(g *extGroup, seg int, data []byte, err error) {
-	r := io.r
-	req := g.reqs[seg]
 	if err != nil {
-		r.fail(fmt.Errorf("core: loading external pages [%d,+%d): %w", req.first, req.span, err))
+		req := g.reqs[seg]
+		io.r.fail(fmt.Errorf("core: loading external pages [%d,+%d): %w", req.first, req.span, err))
 		io.retire(g)
 		return
 	}
-	work := func() {
-		c, derr := r.decodeChunk(req.first, req.span, data)
-		if derr != nil {
-			r.fail(derr)
-			io.retire(g)
-			return
-		}
-		r.pool.Insert(c) // pinned once
-		r.processExternal(c, req)
-		r.pool.Unpin(c.FirstPage)
-		io.retire(g)
-	}
 	if io.s != nil {
-		io.s.submit(classExternal, work)
+		io.s.submit(classExternal, func() { io.processSeg(g, seg, data) })
 	} else {
-		work()
+		io.processSeg(g, seg, data) // direct call: no closure per segment
 	}
+}
+
+// processSeg is handleSeg's CPU work for one read segment.
+func (io *ioSched) processSeg(g *extGroup, seg int, data []byte) {
+	r := io.r
+	req := g.reqs[seg]
+	c, derr := r.decodeChunk(req.first, req.span, data)
+	if derr != nil {
+		r.fail(derr)
+		io.retire(g)
+		return
+	}
+	r.pool.Insert(c) // pinned once
+	r.processExternal(c, req)
+	r.pool.Unpin(c.FirstPage)
+	io.retire(g)
 }
 
 // processResident serves one request from a chunk pinned in the external

@@ -160,9 +160,13 @@ func HolmeKim(p HolmeKimParams) (*graph.Graph, error) {
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
 
-	adj := make([]map[uint32]struct{}, n)
-	for i := range adj {
-		adj[i] = make(map[uint32]struct{})
+	// nbrs lists each vertex's neighbours in insertion order, so a triad
+	// partner is picked by index and one seed always gives one graph; seen
+	// only answers duplicate checks (Go randomises map iteration order).
+	nbrs := make([][]uint32, n)
+	seen := make([]map[uint32]struct{}, n)
+	for i := range seen {
+		seen[i] = make(map[uint32]struct{})
 	}
 	// repeated holds each vertex once per degree unit: sampling from it is
 	// preferential attachment.
@@ -171,11 +175,13 @@ func HolmeKim(p HolmeKimParams) (*graph.Graph, error) {
 		if u == v {
 			return false
 		}
-		if _, dup := adj[u][v]; dup {
+		if _, dup := seen[u][v]; dup {
 			return false
 		}
-		adj[u][v] = struct{}{}
-		adj[v][u] = struct{}{}
+		seen[u][v] = struct{}{}
+		seen[v][u] = struct{}{}
+		nbrs[u] = append(nbrs[u], v)
+		nbrs[v] = append(nbrs[v], u)
 		repeated = append(repeated, u, v)
 		return true
 	}
@@ -197,16 +203,8 @@ func HolmeKim(p HolmeKimParams) (*graph.Graph, error) {
 			var target uint32
 			if hasLast && rng.Float64() < p.TriadProb {
 				// Triad formation: pick a random neighbor of lastTarget.
-				nbrs := adj[lastTarget]
-				if len(nbrs) > 0 {
-					k := rng.Intn(len(nbrs))
-					for w := range nbrs {
-						if k == 0 {
-							target = w
-							break
-						}
-						k--
-					}
+				if ns := nbrs[lastTarget]; len(ns) > 0 {
+					target = ns[rng.Intn(len(ns))]
 				} else {
 					target = repeated[rng.Intn(len(repeated))]
 				}
@@ -223,7 +221,7 @@ func HolmeKim(p HolmeKimParams) (*graph.Graph, error) {
 
 	b := graph.NewBuilder(n)
 	for u := 0; u < n; u++ {
-		for v := range adj[u] {
+		for _, v := range nbrs[u] {
 			if uint32(u) < v {
 				if err := b.AddEdge(uint32(u), v); err != nil {
 					return nil, err

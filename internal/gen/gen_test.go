@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/optlab/opt/internal/graph"
@@ -119,6 +120,32 @@ func TestHolmeKimClusteringControl(t *testing.T) {
 	dHigh := float64(high.NumEdges()) / float64(high.NumVertices())
 	if math.Abs(dLow-dHigh) > 1.0 {
 		t.Fatalf("density drifted with TriadProb: %.2f vs %.2f", dLow, dHigh)
+	}
+}
+
+// TestHolmeKimDeterministic checks that one seed gives one graph: triad
+// partners are picked by index from insertion-ordered neighbour lists, so
+// nothing depends on Go's randomised map iteration order.
+func TestHolmeKimDeterministic(t *testing.T) {
+	edges := func(seed int64) [][2]uint32 {
+		t.Helper()
+		g, err := HolmeKim(HolmeKimParams{NumVertices: 5000, M: 6, TriadProb: 0.9, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [][2]uint32
+		g.Edges(func(u, v graph.VertexID) bool {
+			out = append(out, [2]uint32{u, v})
+			return true
+		})
+		return out
+	}
+	a, b := edges(5), edges(5)
+	if !slices.Equal(a, b) {
+		t.Fatalf("seed 5 gave two different graphs: %d and %d edges", len(a), len(b))
+	}
+	if slices.Equal(a, edges(6)) {
+		t.Fatal("seeds 5 and 6 gave the same graph")
 	}
 }
 

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // A Codec encodes the neighbor payload of a record into page bytes and back.
@@ -132,10 +133,20 @@ func (rawCodec) decodeInto(dst []uint32, src []byte, count int, _ uint32, _ bool
 	if count > len(src)/4 {
 		return dst, 0, fmt.Errorf("%w: %d raw neighbors exceed %d payload bytes", ErrCorruptPage, count, len(src))
 	}
-	for i := 0; i < count; i++ {
-		dst = append(dst, getUint32(src[4*i:]))
+	dst, out := growBy(dst, count)
+	src = src[:4*count]
+	for i := range out {
+		out[i] = getUint32(src[4*i:])
 	}
 	return dst, 4 * count, nil
+}
+
+// growBy extends dst by n values, growing its backing at most once, and
+// returns the extended slice plus the n-value tail to fill by index.
+func growBy(dst []uint32, n int) ([]uint32, []uint32) {
+	base := len(dst)
+	dst = slices.Grow(dst, n)[:base+n]
+	return dst, dst[base:]
 }
 
 // deltaVarintCodec stores the first value of a record as an absolute
@@ -233,20 +244,45 @@ func (deltaVarintCodec) encodeInto(dst []byte, prev uint32, cont bool, adj []uin
 	return vals, off
 }
 
+// decodeInto decodes 1–3-byte uvarints inline while at least three bytes
+// remain, which covers every delta below 2^21. Longer values, overflow and
+// truncation, and the last one or two bytes of the payload go through
+// uvarint32, so every encoding it rejects is still rejected with the same
+// error. Each value takes at least one byte, so a count larger than the
+// payload is corrupt before any value is decoded.
 func (deltaVarintCodec) decodeInto(dst []uint32, src []byte, count int, prev uint32, cont bool) ([]uint32, int, error) {
+	if count > len(src) {
+		return dst, 0, fmt.Errorf("%w: %d varint neighbors exceed %d payload bytes", ErrCorruptPage, count, len(src))
+	}
+	if !cont {
+		prev = 0 // the first value is absolute: a delta from zero
+	}
+	base := len(dst)
+	dst, out := growBy(dst, count)
 	off := 0
-	for i := 0; i < count; i++ {
-		d, n, err := uvarint32(src[off:])
-		if err != nil {
-			return dst, off, err
+	for i := range out {
+		var d uint32
+		n := 0
+		if off+3 <= len(src) {
+			b := src[off : off+3 : off+3]
+			switch {
+			case b[0] < 0x80:
+				d, n = uint32(b[0]), 1
+			case b[1] < 0x80:
+				d, n = uint32(b[0]&0x7f)|uint32(b[1])<<7, 2
+			case b[2] < 0x80:
+				d, n = uint32(b[0]&0x7f)|uint32(b[1]&0x7f)<<7|uint32(b[2])<<14, 3
+			}
+		}
+		if n == 0 {
+			var err error
+			if d, n, err = uvarint32(src[off:]); err != nil {
+				return dst[:base+i], off, err
+			}
 		}
 		off += n
-		v := d
-		if cont {
-			v = prev + d
-		}
-		dst = append(dst, v)
-		prev, cont = v, true
+		prev += d
+		out[i] = prev
 	}
 	return dst, off, nil
 }

@@ -16,7 +16,9 @@ func fuzzCodec(sel byte) Codec {
 }
 
 // FuzzDecodeRange feeds arbitrary bytes to the page decoder under both
-// codecs: it must never panic, only return records or an error.
+// codecs: it must never panic, only return records or an error, and it
+// must agree with the byte-at-a-time reference decoder (refDecode) on the
+// records and on the class of error.
 func FuzzDecodeRange(f *testing.F) {
 	// Seed with real encoded pages from each codec.
 	g := graph.PaperExample()
@@ -45,15 +47,7 @@ func FuzzDecodeRange(f *testing.F) {
 		if pageSize < MinPageSize || pageSize > 1<<16 {
 			pageSize = 64
 		}
-		c := fuzzCodec(sel)
-		recs, err := DecodeRange(c, pageSize, raw)
-		if err != nil {
-			return
-		}
-		for _, r := range recs {
-			_ = r.ID
-			_ = len(r.Adj)
-		}
+		checkRangeAgrees(t, fuzzCodec(sel), pageSize, raw)
 	})
 }
 
